@@ -26,6 +26,7 @@ import (
 	"atr/internal/pipeline"
 	"atr/internal/program"
 	"atr/internal/stats"
+	"atr/internal/sweep"
 	"atr/internal/workload"
 )
 
@@ -181,11 +182,15 @@ func BenchmarkTAGEPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheHierarchy issues each access at the previous access's
+// completion cycle, so misses never queue behind a full MSHR pool and the
+// per-access cost does not grow with b.N.
 func BenchmarkCacheHierarchy(b *testing.B) {
 	h := cache.NewHierarchy(config.GoldenCove())
+	now := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.AccessData(uint64(i%100_000)*64, i%4 == 0, uint64(i))
+		now = h.AccessData(uint64(i%100_000)*64, i%4 == 0, now)
 	}
 }
 
@@ -386,6 +391,37 @@ func BenchmarkSampledThroughput(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRunUnit times one exact 10k-instruction grid unit through
+// sweep.RunUnit, the run function every plane executes. "recycled" is the
+// steady state of a long-lived process: the pooled machine was warmed by
+// earlier iterations, so setup reuses its arenas (CI gates its allocs/op).
+// "fresh" builds a new machine per run, the cost recycling removes.
+func BenchmarkRunUnit(b *testing.B) {
+	const instr = 10_000
+	p, _ := workload.ByName("gcc")
+	prog := p.Generate()
+	u := sweep.Unit{Profile: p, Config: config.GoldenCove().WithScheme(config.SchemeCombined).WithPhysRegs(64)}
+	b.Run("recycled", func(b *testing.B) {
+		if _, err := sweep.RunUnit(u, prog, pipeline.SchedulerEvent, instr); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runUnitSink, _ = sweep.RunUnit(u, prog, pipeline.SchedulerEvent, instr)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runUnitSink = pipeline.NewWithScheduler(u.Config, prog, pipeline.SchedulerEvent).Run(instr)
+		}
+	})
+}
+
+// runUnitSink keeps BenchmarkRunUnit's runs observable to the compiler.
+var runUnitSink pipeline.Result
 
 // BenchmarkCounters measures the bookkeeping hot paths that run once or
 // more per simulated instruction: pre-resolved handle increments (the path

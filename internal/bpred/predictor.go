@@ -44,17 +44,28 @@ type Predictor struct {
 
 // New creates a predictor sized from the machine configuration.
 func New(cfg config.Config) *Predictor {
-	return &Predictor{
-		Tage: NewTAGE(TAGEConfig{
-			TableBits: cfg.TageTableBits,
-			NumTables: cfg.TageTables,
-			MaxHist:   cfg.TageHistLen,
-		}),
-		Loop:     NewLoopPredictor(64),
-		SC:       NewCorrector(1024),
-		Indirect: NewIndirect(cfg.IBTBEntries, cfg.BTBEntries),
-		RAS:      NewRAS(cfg.RASEntries),
+	p := new(Predictor)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset reinitializes p for cfg, exactly as New(cfg) would build it, reusing
+// every table whose capacity suffices.
+func (p *Predictor) Reset(cfg config.Config) {
+	if p.Tage == nil {
+		p.Tage, p.Loop, p.SC = new(TAGE), new(LoopPredictor), new(Corrector)
+		p.Indirect, p.RAS = &Indirect{last: new(BTB)}, new(RAS)
 	}
+	p.Tage.reset(TAGEConfig{
+		TableBits: cfg.TageTableBits,
+		NumTables: cfg.TageTables,
+		MaxHist:   cfg.TageHistLen,
+	})
+	p.Loop.reset(64)
+	p.SC.reset(1024)
+	p.Indirect.reset(cfg.IBTBEntries, cfg.BTBEntries)
+	p.RAS.reset(cfg.RASEntries)
+	p.condLookups, p.condWrong, p.indLookups, p.indWrong = 0, 0, 0, 0
 }
 
 // Predict produces the prediction for the control instruction in at pc and

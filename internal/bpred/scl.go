@@ -1,5 +1,7 @@
 package bpred
 
+import "atr/internal/arena"
+
 // This file completes the Table 1 predictor ("TAGE-SC-L"): the L is a loop
 // predictor that captures branches with long regular trip counts beyond the
 // TAGE history reach, and the SC is a small statistical corrector that
@@ -32,11 +34,17 @@ type LoopPredictor struct {
 // NewLoopPredictor creates a predictor with entries rounded down to a power
 // of two (minimum 16).
 func NewLoopPredictor(entries int) *LoopPredictor {
+	l := new(LoopPredictor)
+	l.reset(entries)
+	return l
+}
+
+func (l *LoopPredictor) reset(entries int) {
 	n := 16
 	for n*2 <= entries {
 		n *= 2
 	}
-	return &LoopPredictor{entries: make([]loopEntry, n), mask: uint64(n - 1)}
+	*l = LoopPredictor{entries: arena.Resize(l.entries, n), mask: uint64(n - 1)}
 }
 
 func (l *LoopPredictor) entry(pc uint64) *loopEntry {
@@ -119,15 +127,21 @@ const scThreshold = 4
 
 // NewCorrector builds a corrector with the given table size per feature.
 func NewCorrector(entries int) *Corrector {
+	c := new(Corrector)
+	c.reset(entries)
+	return c
+}
+
+func (c *Corrector) reset(entries int) {
 	n := 64
 	for n*2 <= entries {
 		n *= 2
 	}
-	w := make([][]int8, correctorFeatures)
-	for i := range w {
-		w[i] = make([]int8, n)
+	c.weights = arena.Extend(c.weights, correctorFeatures)
+	for i := range c.weights {
+		c.weights[i] = arena.Resize(c.weights[i], n)
 	}
-	return &Corrector{weights: w, mask: uint64(n - 1)}
+	c.mask = uint64(n - 1)
 }
 
 func (c *Corrector) indices(pc uint64, hist *GlobalHistory) [correctorFeatures]uint64 {

@@ -7,7 +7,11 @@
 // simulation fidelity.
 package bpred
 
-import "math"
+import (
+	"math"
+
+	"atr/internal/arena"
+)
 
 // historyBits is the size of the folded global history register.
 const historyBits = 64
@@ -79,6 +83,14 @@ type TAGEConfig struct {
 // NewTAGE builds a predictor from cfg, applying sane defaults for zero
 // fields.
 func NewTAGE(cfg TAGEConfig) *TAGE {
+	t := new(TAGE)
+	t.reset(cfg)
+	return t
+}
+
+// reset reinitializes t for cfg, exactly as NewTAGE(cfg) would build it,
+// reusing its tables' storage.
+func (t *TAGE) reset(cfg TAGEConfig) {
 	if cfg.BaseBits == 0 {
 		cfg.BaseBits = 12
 	}
@@ -91,11 +103,12 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	if cfg.MaxHist == 0 {
 		cfg.MaxHist = 256
 	}
-	t := &TAGE{
-		base:     make([]int8, 1<<cfg.BaseBits),
-		baseBits: cfg.BaseBits,
-		tblBits:  cfg.TableBits,
-	}
+	t.base = arena.Resize(t.base, 1<<cfg.BaseBits)
+	t.baseBits = cfg.BaseBits
+	t.tblBits = cfg.TableBits
+	t.hist = GlobalHistory{}
+	t.histLens = t.histLens[:0]
+	t.tables = arena.Extend(t.tables, cfg.NumTables)
 	// Geometric history lengths from 4 up to MaxHist.
 	minHist := 4.0
 	ratio := 1.0
@@ -105,10 +118,9 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	l := minHist
 	for i := 0; i < cfg.NumTables; i++ {
 		t.histLens = append(t.histLens, int(l+0.5))
-		t.tables = append(t.tables, make([]tageEntry, 1<<cfg.TableBits))
+		t.tables[i] = arena.Resize(t.tables[i], 1<<cfg.TableBits)
 		l *= ratio
 	}
-	return t
 }
 
 func (t *TAGE) baseIndex(pc uint64) uint64 {

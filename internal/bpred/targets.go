@@ -1,5 +1,7 @@
 package bpred
 
+import "atr/internal/arena"
+
 // BTB is a direct-mapped branch target buffer. In this simulator direct
 // targets are statically known (as in trace-driven Scarab), so the BTB's
 // modeled role is target storage for indirect transfers and hit/miss
@@ -15,13 +17,19 @@ type BTB struct {
 // NewBTB creates a BTB with the given number of entries (rounded down to a
 // power of two, minimum 16).
 func NewBTB(entries int) *BTB {
+	b := new(BTB)
+	b.reset(entries)
+	return b
+}
+
+func (b *BTB) reset(entries int) {
 	n := 16
 	for n*2 <= entries {
 		n *= 2
 	}
-	return &BTB{
-		tags:    make([]uint64, n),
-		targets: make([]uint64, n),
+	*b = BTB{
+		tags:    arena.Resize(b.tags, n),
+		targets: arena.Resize(b.targets, n),
 		mask:    uint64(n - 1),
 	}
 }
@@ -65,16 +73,20 @@ type Indirect struct {
 // NewIndirect creates an indirect predictor with the given history-table and
 // IBTB entry counts.
 func NewIndirect(histEntries, ibtbEntries int) *Indirect {
+	p := &Indirect{last: new(BTB)}
+	p.reset(histEntries, ibtbEntries)
+	return p
+}
+
+func (p *Indirect) reset(histEntries, ibtbEntries int) {
 	n := 16
 	for n*2 <= histEntries {
 		n *= 2
 	}
-	return &Indirect{
-		histTags:    make([]uint64, n),
-		histTargets: make([]uint64, n),
-		last:        NewBTB(ibtbEntries),
-		mask:        uint64(n - 1),
-	}
+	p.histTags = arena.Resize(p.histTags, n)
+	p.histTargets = arena.Resize(p.histTargets, n)
+	p.mask = uint64(n - 1)
+	p.last.reset(ibtbEntries)
 }
 
 func (p *Indirect) index(pc uint64, hist *GlobalHistory) uint64 {
@@ -110,10 +122,21 @@ type RAS struct {
 
 // NewRAS creates a RAS with n entries.
 func NewRAS(n int) *RAS {
+	r := new(RAS)
+	r.reset(n)
+	return r
+}
+
+// reset empties the stack for n entries. The capacity is the stack depth
+// (Push drops the oldest entry when full), so it is reused only when exact.
+func (r *RAS) reset(n int) {
 	if n < 1 {
 		n = 1
 	}
-	return &RAS{stack: make([]uint64, 0, n)}
+	if cap(r.stack) != n {
+		r.stack = make([]uint64, 0, n)
+	}
+	*r = RAS{stack: r.stack[:0]}
 }
 
 // Push records a return address at fetch of a call.

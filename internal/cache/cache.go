@@ -4,7 +4,10 @@
 // line, and a stream prefetcher.
 package cache
 
-import "atr/internal/config"
+import (
+	"atr/internal/arena"
+	"atr/internal/config"
+)
 
 // Cache is one set-associative cache level with LRU replacement. Recency is
 // tracked as a compact per-set way order (order[set*ways] is the MRU way,
@@ -14,13 +17,12 @@ import "atr/internal/config"
 // eviction choices are identical to the timestamp formulation
 // (TestCacheMatchesStampReference proves it against a retained reference).
 //
-// Backing storage is allocated lazily in chunks of 64 sets on the first
-// fill that touches a chunk. Short simulations touch a small fraction of a
-// large LLC's sets, and sweeps construct one hierarchy per grid unit, so
-// eager allocation dominated sweep heap traffic (~45% of allocated bytes)
-// for arrays that were mostly never read. An untouched chunk behaves
-// exactly like all-invalid ways: Lookup and Contains miss without
-// materializing it.
+// Backing storage is materialized lazily in chunks of 64 sets on the first
+// fill that touches a chunk, so a run pays to allocate (or, on a recycled
+// machine, to re-initialize) only the chunks it touches. A chunk that is
+// not live behaves exactly like all-invalid ways: Lookup and Contains miss
+// without touching it. Reset only marks chunks not live; their arrays stay
+// allocated and are re-initialized by the next fill into them.
 type Cache struct {
 	sets      int
 	ways      int
@@ -39,22 +41,25 @@ const (
 	chunkSets      = 1 << chunkSetsShift
 )
 
-// cacheChunk holds chunkSets sets' worth of tag/dirty/recency state; nil
-// slices until the first Fill into the chunk.
+// cacheChunk holds chunkSets sets' worth of tag/dirty/recency state. The
+// arrays are meaningful only while live; a chunk that is not live holds no
+// valid line, whatever its (possibly nil or stale) arrays contain.
 type cacheChunk struct {
+	live  bool
 	tags  []uint64 // 0 = invalid (tags stored with +1 bias)
 	dirty []bool
 	order []uint8 // per-set permutation of ways, MRU first
 }
 
-// materialize allocates the chunk's arrays with every way invalid and the
-// identity recency order — byte-for-byte the state eager allocation gave
-// every set at construction.
+// materialize makes the chunk live with every way invalid and the identity
+// recency order — byte-for-byte the state eager allocation gave every set
+// at construction — reusing its arrays when they are large enough.
 func (ch *cacheChunk) materialize(ways int) {
 	n := chunkSets * ways
-	ch.tags = make([]uint64, n)
-	ch.dirty = make([]bool, n)
-	ch.order = make([]uint8, n)
+	ch.live = true
+	ch.tags = arena.Resize(ch.tags, n)
+	ch.dirty = arena.Resize(ch.dirty, n)
+	ch.order = arena.Extend(ch.order, n)
 	for s := 0; s < chunkSets; s++ {
 		for w := 0; w < ways; w++ {
 			ch.order[s*ways+w] = uint8(w)
@@ -64,16 +69,27 @@ func (ch *cacheChunk) materialize(ways int) {
 
 // New builds a cache from a level configuration.
 func New(cfg config.CacheConfig) *Cache {
+	c := new(Cache)
+	c.reset(cfg)
+	return c
+}
+
+// reset reinitializes c for cfg, exactly as New(cfg) would build it, while
+// keeping every chunk's arrays for reuse.
+func (c *Cache) reset(cfg config.CacheConfig) {
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
 	sets := cfg.Sets()
-	return &Cache{
+	*c = Cache{
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: shift,
-		chunks:    make([]cacheChunk, (sets+chunkSets-1)/chunkSets),
+		chunks:    arena.Extend(c.chunks, (sets+chunkSets-1)/chunkSets),
+	}
+	for i := range c.chunks {
+		c.chunks[i].live = false
 	}
 }
 
@@ -94,7 +110,7 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 	line := c.LineAddr(addr)
 	set := c.setOf(line)
 	ch := &c.chunks[set>>chunkSetsShift]
-	if ch.tags == nil {
+	if !ch.live {
 		// Untouched chunk: every way invalid, unconditional miss.
 		c.Misses++
 		return false
@@ -135,7 +151,7 @@ func (c *Cache) Fill(addr uint64, write bool) (evicted uint64, wasDirty bool) {
 	line := c.LineAddr(addr)
 	set := c.setOf(line)
 	ch := &c.chunks[set>>chunkSetsShift]
-	if ch.tags == nil {
+	if !ch.live {
 		ch.materialize(c.ways)
 	}
 	base := (set & (chunkSets - 1)) * c.ways
@@ -173,7 +189,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	line := c.LineAddr(addr)
 	set := c.setOf(line)
 	ch := &c.chunks[set>>chunkSetsShift]
-	if ch.tags == nil {
+	if !ch.live {
 		return false
 	}
 	base := (set & (chunkSets - 1)) * c.ways
@@ -201,8 +217,13 @@ type mshrSet struct {
 	slots    []uint64          // busy-until per MSHR
 }
 
-func newMSHRSet(n int) *mshrSet {
-	return &mshrSet{inflight: make(map[uint64]uint64), slots: make([]uint64, n)}
+// reset empties the pool in place for n MSHRs.
+func (m *mshrSet) reset(n int) {
+	if m.inflight == nil {
+		m.inflight = make(map[uint64]uint64)
+	}
+	clear(m.inflight)
+	m.slots = arena.Resize(m.slots, n)
 }
 
 // reserve finds when a new miss to line can start given MSHR availability,
@@ -245,7 +266,7 @@ type Hierarchy struct {
 	LLC *Cache
 
 	cfg   config.Config
-	mshrs *mshrSet
+	mshrs mshrSet
 	pref  *StreamPrefetcher
 
 	DemandMisses  uint64
@@ -254,18 +275,33 @@ type Hierarchy struct {
 
 // NewHierarchy builds the Table 1 memory system.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{
-		L1I:   New(cfg.L1I),
-		L1D:   New(cfg.L1D),
-		L2:    New(cfg.L2),
-		LLC:   New(cfg.LLC),
-		cfg:   cfg,
-		mshrs: newMSHRSet(cfg.MSHRs),
-	}
-	if cfg.StreamPrefetch {
-		h.pref = NewStreamPrefetcher(8, 4)
-	}
+	h := new(Hierarchy)
+	h.Reset(cfg)
 	return h
+}
+
+// Reset reinitializes h for cfg, exactly as NewHierarchy(cfg) would build
+// it, while keeping every cache chunk, the MSHR pool, and the prefetcher's
+// tables for reuse.
+func (h *Hierarchy) Reset(cfg config.Config) {
+	if h.L1I == nil {
+		h.L1I, h.L1D, h.L2, h.LLC = new(Cache), new(Cache), new(Cache), new(Cache)
+	}
+	h.L1I.reset(cfg.L1I)
+	h.L1D.reset(cfg.L1D)
+	h.L2.reset(cfg.L2)
+	h.LLC.reset(cfg.LLC)
+	h.cfg = cfg
+	h.mshrs.reset(cfg.MSHRs)
+	h.DemandMisses, h.PrefetchFills = 0, 0
+	switch {
+	case !cfg.StreamPrefetch:
+		h.pref = nil
+	case h.pref == nil:
+		h.pref = NewStreamPrefetcher(8, 4)
+	default:
+		h.pref.reset(8, 4)
+	}
 }
 
 // AccessData performs a data access and returns its completion cycle.
@@ -366,10 +402,17 @@ type streamEntry struct {
 // NewStreamPrefetcher creates a prefetcher tracking `streams` concurrent
 // streams with the given prefetch degree.
 func NewStreamPrefetcher(streams, degree int) *StreamPrefetcher {
-	return &StreamPrefetcher{
-		entries:   make([]streamEntry, streams),
+	p := new(StreamPrefetcher)
+	p.reset(streams, degree)
+	return p
+}
+
+func (p *StreamPrefetcher) reset(streams, degree int) {
+	*p = StreamPrefetcher{
+		entries:   arena.Resize(p.entries, streams),
 		degree:    degree,
 		threshold: 2,
+		scratch:   p.scratch[:0],
 	}
 }
 

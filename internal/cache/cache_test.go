@@ -143,6 +143,36 @@ func TestMSHRBackpressure(t *testing.T) {
 	}
 }
 
+// TestCopyFromResetsMSHRsInPlace: CopyFrom hands the destination an empty
+// MSHR pool, as Restore does, by clearing the existing pool rather than
+// building a new one, and reuses the destination's chunk storage, so a
+// sampling driver re-priming one machine per window allocates nothing.
+func TestCopyFromResetsMSHRsInPlace(t *testing.T) {
+	cfg := config.GoldenCove()
+	cfg.StreamPrefetch = false
+	cfg.MSHRs = 2
+	src := NewHierarchy(cfg)
+	for i := uint64(0); i < 4096; i++ {
+		src.TouchData(i*64, false)
+	}
+	dst := NewHierarchy(cfg)
+	// Book every MSHR far into the future: a stale pool would delay the
+	// probe below behind these misses.
+	for i := uint64(0); i < 8; i++ {
+		dst.AccessData(1<<30+i*64, false, 0)
+	}
+	dst.CopyFrom(src)
+	fresh := NewHierarchy(cfg)
+	fresh.CopyFrom(src)
+	const probe = 1 << 31
+	if got, want := dst.AccessData(probe, false, 0), fresh.AccessData(probe, false, 0); got != want {
+		t.Fatalf("miss after CopyFrom completes at %d, want %d (MSHRs not emptied)", got, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Fatalf("CopyFrom allocated %v times per call, want 0", n)
+	}
+}
+
 func TestStreamPrefetcherAscending(t *testing.T) {
 	p := NewStreamPrefetcher(4, 2)
 	if got := p.Train(0x1000, 64); got != nil {

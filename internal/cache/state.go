@@ -32,7 +32,7 @@ type CacheState struct {
 func (c *Cache) State() CacheState {
 	s := CacheState{Chunks: make([]ChunkState, len(c.chunks)), Hits: c.Hits, Misses: c.Misses}
 	for i, ch := range c.chunks {
-		if ch.tags == nil {
+		if !ch.live {
 			continue
 		}
 		s.Chunks[i] = ChunkState{
@@ -52,17 +52,13 @@ func (c *Cache) Restore(s CacheState) {
 	}
 	for i, ch := range s.Chunks {
 		if ch.Tags == nil {
-			c.chunks[i] = cacheChunk{}
+			c.chunks[i].live = false
 			continue
 		}
 		if len(ch.Tags) != chunkSets*c.ways {
 			panic("cache: Restore chunk geometry mismatch")
 		}
-		c.chunks[i] = cacheChunk{
-			tags:  append([]uint64(nil), ch.Tags...),
-			dirty: append([]bool(nil), ch.Dirty...),
-			order: append([]uint8(nil), ch.Order...),
-		}
+		c.chunks[i].fill(ch.Tags, ch.Dirty, ch.Order)
 	}
 	c.Hits, c.Misses = s.Hits, s.Misses
 }
@@ -127,27 +123,28 @@ func (h *Hierarchy) Restore(s *HierState) {
 		panic("cache: Restore snapshot has prefetcher state but prefetch is disabled")
 	}
 	h.DemandMisses, h.PrefetchFills = s.DemandMisses, s.PrefetchFills
-	h.mshrs = newMSHRSet(h.cfg.MSHRs)
+	h.mshrs.reset(h.cfg.MSHRs)
+}
+
+// fill makes the chunk live with a copy of the given arrays, reusing its
+// own storage when large enough.
+func (ch *cacheChunk) fill(tags []uint64, dirty []bool, order []uint8) {
+	ch.live = true
+	ch.tags = append(ch.tags[:0], tags...)
+	ch.dirty = append(ch.dirty[:0], dirty...)
+	ch.order = append(ch.order[:0], order...)
 }
 
 // copyFrom overwrites c's mutable state with src's, which must share the
-// same geometry. Already-materialized destination chunks are reused.
+// same geometry. Destination chunk arrays are reused.
 func (c *Cache) copyFrom(src *Cache) {
 	for i := range src.chunks {
 		sch := &src.chunks[i]
-		dch := &c.chunks[i]
-		if sch.tags == nil {
-			*dch = cacheChunk{}
+		if !sch.live {
+			c.chunks[i].live = false
 			continue
 		}
-		if dch.tags == nil {
-			dch.tags = make([]uint64, len(sch.tags))
-			dch.dirty = make([]bool, len(sch.dirty))
-			dch.order = make([]uint8, len(sch.order))
-		}
-		copy(dch.tags, sch.tags)
-		copy(dch.dirty, sch.dirty)
-		copy(dch.order, sch.order)
+		c.chunks[i].fill(sch.tags, sch.dirty, sch.order)
 	}
 	c.Hits, c.Misses = src.Hits, src.Misses
 }
@@ -165,7 +162,7 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 		copy(h.pref.entries, src.pref.entries)
 	}
 	h.DemandMisses, h.PrefetchFills = src.DemandMisses, src.PrefetchFills
-	h.mshrs = newMSHRSet(h.cfg.MSHRs)
+	h.mshrs.reset(h.cfg.MSHRs)
 }
 
 // TouchData applies the content side-effects of a data access during

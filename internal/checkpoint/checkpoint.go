@@ -125,14 +125,15 @@ func newWarmer(prog *program.Program, cfg config.Config) *warmer {
 	}
 }
 
-// prime drops a freshly built CPU into the warmer's current position: warm
-// predictor/cache state is cloned structure-to-structure (RestoreLive) and
-// the memory image is a copy-on-write overlay over the warmer's memory —
-// O(1) setup regardless of working-set size — instead of the serializable
-// State/Snapshot forms, which would dominate the per-region cost. The
-// overlay contract holds because the driver never advances the warmer while
-// the window CPU is live. Capture/Encode remain the serializable path; prime
-// is the in-process fast path and produces the identical simulation
+// prime drops a freshly built or reset CPU into the warmer's current
+// position: warm predictor/cache state is cloned structure-to-structure
+// (RestoreLive) and the CPU's memory image is reset in place into a
+// copy-on-write overlay over the warmer's memory — O(1) setup regardless of
+// working-set size — instead of the serializable State/Snapshot forms,
+// which would dominate the per-region cost. The overlay contract holds
+// because the driver never advances the warmer while the window CPU is
+// live. Capture/Encode remain the serializable path; prime is the
+// in-process fast path and produces the identical simulation
 // (TestPrimeMatchesCapture).
 func (w *warmer) prime(cpu *pipeline.CPU) {
 	arch := program.ArchState{
@@ -143,7 +144,7 @@ func (w *warmer) prime(cpu *pipeline.CPU) {
 		Done:    w.em.Done,
 	}
 	cpu.RestoreLive(&arch, w.pred, w.mem)
-	cpu.Data = program.NewOverlay(w.em.Mem)
+	cpu.Data.ResetOverlay(w.em.Mem)
 }
 
 // advance executes up to n instructions with functional warming and returns
@@ -225,6 +226,10 @@ func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 		panic(err)
 	}
 	w := newWarmer(prog, cfg)
+	// One pooled machine serves every window: each window resets it and
+	// primes it from the warmer. It goes back to the pool only if the whole
+	// run finishes normally.
+	cpu := pipeline.Acquire(cfg, prog, kind)
 
 	var (
 		deltas  []pipeline.WindowStats
@@ -257,7 +262,9 @@ func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 			}
 		}
 
-		cpu := pipeline.NewWithScheduler(cfg, prog, kind)
+		if !first {
+			cpu.Reset(cfg, prog, kind)
+		}
 		w.prime(cpu)
 		if warm > 0 {
 			cpu.RunFor(warm, ^uint64(0))
@@ -291,6 +298,8 @@ func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 			break // program halted mid-region
 		}
 	}
+
+	pipeline.Release(cpu)
 
 	est := Estimate{Plan: plan, TotalInstr: pos, Windows: windows, DetailInstr: detail, FFInstr: ff}
 	if pos == 0 {

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/checkpoint"
 	"atr/internal/experiments"
 	"atr/internal/pipeline"
 	"atr/internal/sweep"
@@ -303,23 +302,12 @@ func (w *Worker) execute(ctx context.Context, a Assignment) {
 	})
 }
 
-// runFunc mirrors the serving daemon's RunFunc: identical simulation
-// semantics to offline sweep.Sim with program images shared through an
+// runFunc is sweep.RunUnit, the run function offline sweeps and the
+// serving daemon execute, over program images shared through an
 // experiments.Runner.
 func (w *Worker) runFunc(instr uint64) sweep.RunFunc {
 	return func(ctx context.Context, u sweep.Unit) (pipeline.Result, error) {
-		if err := u.Config.Validate(); err != nil {
-			return pipeline.Result{}, err
-		}
-		prog := w.runner.Program(u.Profile)
-		if u.Sample != "" {
-			plan, err := checkpoint.ParseMode(u.Sample)
-			if err != nil {
-				return pipeline.Result{}, err
-			}
-			return checkpoint.Run(u.Config, prog, pipeline.SchedulerEvent, instr, plan).Result, nil
-		}
-		return pipeline.NewWithScheduler(u.Config, prog, pipeline.SchedulerEvent).Run(instr), nil
+		return sweep.RunUnit(u, w.runner.Program(u.Profile), pipeline.SchedulerEvent, instr)
 	}
 }
 

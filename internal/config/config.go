@@ -229,42 +229,45 @@ func (c Config) WithPhysRegs(n int) Config {
 }
 
 // Validate checks structural consistency and returns a descriptive error for
-// the first violated constraint.
+// the first violated constraint. It runs once per simulated machine, so the
+// passing path allocates nothing.
 func (c Config) Validate() error {
-	check := func(cond bool, format string, args ...any) error {
-		if !cond {
-			return fmt.Errorf("config: "+format, args...)
-		}
-		return nil
+	switch {
+	case c.FetchWidth <= 0:
+		return fmt.Errorf("config: FetchWidth must be positive")
+	case c.RenameWidth <= 0:
+		return fmt.Errorf("config: RenameWidth must be positive")
+	case c.RetireWidth <= 0:
+		return fmt.Errorf("config: RetireWidth must be positive")
+	case c.ROBSize < c.RenameWidth:
+		return fmt.Errorf("config: ROBSize %d < RenameWidth %d", c.ROBSize, c.RenameWidth)
+	case c.RSSize <= 0:
+		return fmt.Errorf("config: RSSize must be positive")
+	case c.LoadQueue <= 0 || c.StoreQueue <= 0:
+		return fmt.Errorf("config: load/store queues must be positive")
+	case c.NumALU <= 0 || c.NumLoadPorts <= 0 || c.NumStorePorts <= 0:
+		return fmt.Errorf("config: functional unit counts must be positive")
+	case c.PhysRegs != 0 && c.PhysRegs < 40:
+		return fmt.Errorf("config: PhysRegs %d too small: need at least arch state (33) plus one rename group", c.PhysRegs)
+	case c.ConsumerCounterBits < 0 || c.ConsumerCounterBits > 16:
+		return fmt.Errorf("config: ConsumerCounterBits out of range")
+	case c.RedefineDelay < 0 || c.RedefineDelay > 8:
+		return fmt.Errorf("config: RedefineDelay out of range")
+	case c.Scheme < SchemeBaseline || c.Scheme > SchemeCombined:
+		return fmt.Errorf("config: unknown scheme %d", int(c.Scheme))
 	}
-	checks := []error{
-		check(c.FetchWidth > 0, "FetchWidth must be positive"),
-		check(c.RenameWidth > 0, "RenameWidth must be positive"),
-		check(c.RetireWidth > 0, "RetireWidth must be positive"),
-		check(c.ROBSize >= c.RenameWidth, "ROBSize %d < RenameWidth %d", c.ROBSize, c.RenameWidth),
-		check(c.RSSize > 0, "RSSize must be positive"),
-		check(c.LoadQueue > 0 && c.StoreQueue > 0, "load/store queues must be positive"),
-		check(c.NumALU > 0 && c.NumLoadPorts > 0 && c.NumStorePorts > 0, "functional unit counts must be positive"),
-		check(c.PhysRegs == 0 || c.PhysRegs >= 40,
-			"PhysRegs %d too small: need at least arch state (33) plus one rename group", c.PhysRegs),
-		check(c.ConsumerCounterBits >= 0 && c.ConsumerCounterBits <= 16, "ConsumerCounterBits out of range"),
-		check(c.RedefineDelay >= 0 && c.RedefineDelay <= 8, "RedefineDelay out of range"),
-		check(c.Scheme >= SchemeBaseline && c.Scheme <= SchemeCombined, "unknown scheme %d", int(c.Scheme)),
-	}
-	for _, lvl := range []struct {
+	levels := [...]struct {
 		name string
 		c    CacheConfig
-	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC", c.LLC}} {
-		checks = append(checks,
-			check(lvl.c.SizeBytes > 0 && lvl.c.Ways > 0 && lvl.c.LineBytes > 0,
-				"%s cache has non-positive geometry", lvl.name),
-			check(lvl.c.SizeBytes%(lvl.c.Ways*lvl.c.LineBytes) == 0,
-				"%s cache size %d not divisible by way*line", lvl.name, lvl.c.SizeBytes),
-			check(lvl.c.Latency > 0, "%s latency must be positive", lvl.name))
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
+	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}, {"LLC", c.LLC}}
+	for _, lvl := range levels {
+		switch {
+		case lvl.c.SizeBytes <= 0 || lvl.c.Ways <= 0 || lvl.c.LineBytes <= 0:
+			return fmt.Errorf("config: %s cache has non-positive geometry", lvl.name)
+		case lvl.c.SizeBytes%(lvl.c.Ways*lvl.c.LineBytes) != 0:
+			return fmt.Errorf("config: %s cache size %d not divisible by way*line", lvl.name, lvl.c.SizeBytes)
+		case lvl.c.Latency <= 0:
+			return fmt.Errorf("config: %s latency must be positive", lvl.name)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"atr/internal/arena"
 	"atr/internal/isa"
 	"atr/internal/stats"
 )
@@ -45,16 +46,21 @@ type lifeTab struct {
 	n     int
 }
 
-func newLifeTab(npregs int) lifeTab {
-	head := make([]int32, npregs)
-	for i := range head {
-		head[i] = -1
+// resetHeads returns npregs empty chain heads, reusing heads' storage.
+func resetHeads(heads []int32, npregs int) []int32 {
+	heads = arena.Resize(heads, npregs)
+	for i := range heads {
+		heads[i] = -1
 	}
-	return lifeTab{
-		inGen: make([]uint32, npregs),
-		inRec: make([]stats.RegLifetime, npregs),
-		head:  head,
-	}
+	return heads
+}
+
+// reset empties the table for npregs tags, keeping every arena's capacity.
+func (t *lifeTab) reset(npregs int) {
+	t.inGen = arena.Resize(t.inGen, npregs)
+	t.inRec = arena.Resize(t.inRec, npregs)
+	t.head = resetHeads(t.head, npregs)
+	t.nodes, t.free, t.n = t.nodes[:0], t.free[:0], 0
 }
 
 // get returns the record for (tag, gen), or nil. The pointer is valid only
@@ -171,12 +177,9 @@ type claimTab struct {
 	n     int
 }
 
-func newClaimTab(npregs int) claimTab {
-	head := make([]int32, npregs)
-	for i := range head {
-		head[i] = -1
-	}
-	return claimTab{head: head}
+func (t *claimTab) reset(npregs int) {
+	t.head = resetHeads(t.head, npregs)
+	t.nodes, t.free, t.n = t.nodes[:0], t.free[:0], 0
 }
 
 func (t *claimTab) find(tag PTag, gen uint32, reg isa.Reg) int32 {
@@ -256,12 +259,9 @@ type markTab struct {
 	n     int
 }
 
-func newMarkTab(npregs int) markTab {
-	head := make([]int32, npregs)
-	for i := range head {
-		head[i] = -1
-	}
-	return markTab{head: head}
+func (t *markTab) reset(npregs int) {
+	t.head = resetHeads(t.head, npregs)
+	t.nodes, t.free, t.n = t.nodes[:0], t.free[:0], 0
 }
 
 // add inserts the mapping if absent (map-set semantics: no duplicates).

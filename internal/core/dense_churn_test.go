@@ -24,7 +24,8 @@ func TestLifeTabChurnNoAliasing(t *testing.T) {
 		steps  = 50_000
 	)
 	rng := rand.New(rand.NewSource(0xA17))
-	tab := newLifeTab(npregs)
+	var tab lifeTab
+	tab.reset(npregs)
 
 	type key struct {
 		tag PTag
@@ -123,7 +124,8 @@ func TestDenseTabsChurnParallel(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			tab := newLifeTab(4)
+			var tab lifeTab
+			tab.reset(4)
 			gen := make([]uint32, 4)
 			live := make([][]uint32, 4)
 			for step := 0; step < 20_000; step++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"atr/internal/arena"
 	"atr/internal/config"
 	"atr/internal/isa"
 	"atr/internal/obs"
@@ -189,11 +190,38 @@ type Engine struct {
 // mappings are pre-allocated (one physical register per architectural
 // register in each class).
 func NewEngine(cfg config.Config) *Engine {
-	e := &Engine{
+	e := new(Engine)
+	e.Reset(cfg)
+	return e
+}
+
+// Reset reinitializes e for cfg, exactly as NewEngine(cfg) would build it,
+// while keeping every arena whose capacity suffices: register state, free
+// lists, SRTs, the dense side tables, the delay queue, the checkpoint pool,
+// the counters' interned handles, and the ledger's histogram. Everything a
+// run observes is overwritten, so a reset engine is indistinguishable from a
+// fresh one; the tracer is detached.
+func (e *Engine) Reset(cfg config.Config) {
+	ledger, ctrs := e.Ledger, e.Stats
+	if ledger == nil {
+		ledger = stats.NewLifetimeLedger()
+	} else {
+		ledger.Reset()
+	}
+	if ctrs == nil {
+		ctrs = stats.NewCounters()
+	} else {
+		ctrs.Reset()
+	}
+	banks := e.banks
+	*e = Engine{
 		cfg:      cfg,
-		Ledger:   stats.NewLifetimeLedger(),
-		Stats:    stats.NewCounters(),
+		banks:    banks,
+		Ledger:   ledger,
+		Stats:    ctrs,
+		delayQ:   e.delayQ[:0],
 		satCount: cfg.MaxConsumerCount(),
+		cpPool:   e.cpPool,
 	}
 	e.hRenameAlloc = e.Stats.Handle("rename.alloc")
 	e.hMoveElim = e.Stats.Handle("rename.moveelim")
@@ -215,12 +243,12 @@ func NewEngine(cfg config.Config) *Engine {
 		b := &e.banks[c]
 		b.class = isa.RegClass(c)
 		b.nArch = nArch
-		b.pregs = make([]preg, size)
-		b.srt = make([]PTag, nArch)
-		b.free = make([]PTag, 0, size)
-		b.lives = newLifeTab(size)
-		b.claims = newClaimTab(size)
-		b.early = newMarkTab(size)
+		b.pregs = arena.Resize(b.pregs, size)
+		b.srt = arena.Resize(b.srt, nArch)
+		b.free = b.free[:0]
+		b.lives.reset(size)
+		b.claims.reset(size)
+		b.early.reset(size)
 		for t := size - 1; t >= nArch; t-- {
 			b.pregs[t].free = true
 			b.free = append(b.free, PTag(t))
@@ -237,7 +265,6 @@ func NewEngine(cfg config.Config) *Engine {
 			b.lives.put(PTag(a), 1, stats.RegLifetime{})
 		}
 	}
-	return e
 }
 
 // SetTracer attaches (or with nil detaches) a release-event tracer.

@@ -376,15 +376,19 @@ func (r *Runner) Prefetch(ps []workload.Profile, cfgs []config.Config) {
 	})
 }
 
+// simulate runs one configuration on a pooled machine, released only after
+// collect has read everything it needs from it.
 func simulate(prog *program.Program, cfg config.Config, instr, sampleInterval uint64) RunStats {
-	cpu := pipeline.New(cfg, prog)
+	cpu := pipeline.Acquire(cfg, prog, pipeline.SchedulerEvent)
 	var sampler *obs.Sampler
 	if sampleInterval > 0 {
 		sampler = obs.NewSampler(sampleInterval)
 		cpu.Observe(&obs.Observer{Sampler: sampler})
 	}
 	res := cpu.Run(instr)
-	return collect(cpu, cfg, res, sampler)
+	out := collect(cpu, cfg, res, sampler)
+	pipeline.Release(cpu)
+	return out
 }
 
 // collect extracts RunStats from a finished CPU. Shared by solo runs and

@@ -8,17 +8,17 @@ import (
 )
 
 // This file is the pipeline-facing side of checkpoint/restore for sampled
-// simulation: priming a freshly built CPU with an architectural checkpoint
-// plus warm predictor/cache state, and reading the cumulative counters a
-// sampling driver needs to difference window statistics without calling
-// Finish (which finalizes the engine and may only run once).
+// simulation: priming a freshly built or reset CPU with an architectural
+// checkpoint plus warm predictor/cache state, and reading the cumulative
+// counters a sampling driver needs to difference window statistics without
+// calling Finish (which finalizes the engine and may only run once).
 
 // InstBytes exposes the I-cache footprint of one micro-instruction so
 // external drivers can turn a PC into an instruction-fetch address exactly
 // the way fetchStage does.
 const InstBytes = instBytes
 
-// Restore primes a freshly constructed CPU (no cycles stepped yet) with an
+// Restore primes a freshly built or reset CPU (no cycles stepped yet) with an
 // architectural checkpoint and, optionally, warm predictor and cache state.
 // After Restore the CPU simulates forward from the checkpoint as if it had
 // been flushed and redirected there: the initial speculative rename table
@@ -36,7 +36,7 @@ func (c *CPU) Restore(arch *program.ArchState, bp *bpred.State, hs *cache.HierSt
 	}
 }
 
-// RestoreLive primes a freshly constructed CPU directly from live warm
+// RestoreLive primes a freshly built or reset CPU directly from live warm
 // structures — the in-process fast path a sampling driver uses once per
 // region, where serializing the predictor and cache snapshots (Restore's
 // input) would dominate the per-region cost. The caller still owns c.Data:

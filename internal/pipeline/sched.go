@@ -38,6 +38,7 @@ package pipeline
 import (
 	"slices"
 
+	"atr/internal/arena"
 	"atr/internal/core"
 	"atr/internal/isa"
 	"atr/internal/program"
@@ -193,30 +194,70 @@ type evsched struct {
 	freeIdx []int32
 }
 
-func newEvsched(npregs, slabCap int) *evsched {
-	s := &evsched{
-		slab:    make([]uop, slabCap),
-		freeIdx: make([]int32, slabCap),
+// listKeep bounds the capacity a recycled per-slot list keeps across a
+// reset. A store's stall lists, a register's wait list, and a wheel bucket
+// each grow to the largest occupancy any earlier run gave that slot; keeping
+// every historical maximum would let a recycled machine outgrow a fresh one,
+// so longer lists are dropped and regrow on demand.
+const listKeep = 16
+
+// reset reinitializes the scheduler for npregs physical registers per class
+// and a slabCap-uop arena, dropping every reference the previous run left
+// behind. The slab, the wait lists, and the wheel buckets keep their
+// storage (up to listKeep entries per list), and bumping every slab
+// generation makes any reference that survived the clearing stale.
+func (s *evsched) reset(npregs, slabCap int) {
+	if cap(s.slab) < slabCap {
+		s.slab = make([]uop, slabCap)
 	}
+	s.slab = s.slab[:slabCap]
+	s.freeIdx = arena.Resize(s.freeIdx, slabCap)
 	for i := range s.slab {
-		s.slab[i].idx = int32(i)
-		s.slab[i].fwdNext = -1
+		u := &s.slab[i]
+		u.idx = int32(i)
+		u.gen++
+		u.fwdNext = -1
+		u.stallIssue = keepList(u.stallIssue)
+		u.stallData = keepList(u.stallData)
 		s.freeIdx[i] = int32(slabCap - 1 - i)
 	}
 	for i := range s.fwd {
 		s.fwd[i] = -1
 	}
 	for cl := range s.waiters {
-		s.waiters[cl] = make([][]waitEnt, npregs)
+		s.waiters[cl] = arena.Extend(s.waiters[cl], npregs)
+		for i, l := range s.waiters[cl] {
+			s.waiters[cl][i] = keepList(l)
+		}
 	}
-	// Pre-size the wheel buckets from one backing array so steady state is
-	// reached without a growth phase re-allocating each slot a few times.
-	const slotCap = 8
-	backing := make([]schedRef, wheelSize*slotCap)
+	for i := range s.ready {
+		s.ready[i] = s.ready[i][:0]
+	}
+	// The wheel buckets start as slotCap-entry windows of one backing
+	// array, so steady state is reached without a growth phase
+	// re-allocating each slot a few times.
+	if s.wheel[0] == nil {
+		const slotCap = 8
+		backing := make([]schedRef, wheelSize*slotCap)
+		for i := range s.wheel {
+			s.wheel[i] = backing[i*slotCap : i*slotCap : (i+1)*slotCap]
+		}
+	}
 	for i := range s.wheel {
-		s.wheel[i] = backing[i*slotCap : i*slotCap : (i+1)*slotCap][:0]
+		s.wheel[i] = keepList(s.wheel[i])
 	}
-	return s
+	s.overflow = s.overflow[:0]
+	s.pending = 0
+	s.capQ = s.capQ[:0]
+	s.sqFirst = 0
+}
+
+// keepList empties a per-slot list, dropping its storage beyond listKeep.
+func keepList[T any](l []T) []T {
+	if cap(l) > listKeep {
+		return nil
+	}
+	return l[:0]
 }
 
 // getUop returns a zeroed slab uop. The slab index, the generation, and the

@@ -22,7 +22,8 @@ func TestSlabChurnGenerationTags(t *testing.T) {
 		steps   = 100_000
 	)
 	rng := rand.New(rand.NewSource(0x51AB))
-	s := newEvsched(8, slabCap)
+	s := new(evsched)
+	s.reset(8, slabCap)
 
 	type liveEnt struct {
 		u   *uop

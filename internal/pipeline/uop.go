@@ -62,7 +62,7 @@ type uop struct {
 
 	// Event scheduling (sched.go; all zero in scan mode, which heap-
 	// allocates uops and never recycles them). idx is the uop's slot in
-	// the scheduler's slab arena, fixed for the CPU's lifetime; gen is
+	// the scheduler's slab arena, fixed until the next Reset; gen is
 	// bumped each time the slot recycles through the free list,
 	// invalidating any schedRef still held by a wait list, ready heap,
 	// wheel slot, or stall list.
@@ -92,8 +92,6 @@ type rob struct {
 	head int
 	n    int
 }
-
-func newROB(size int) *rob { return &rob{buf: make([]*uop, size)} }
 
 func (r *rob) len() int   { return r.n }
 func (r *rob) cap() int   { return len(r.buf) }

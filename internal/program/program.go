@@ -262,6 +262,22 @@ func NewMemory(seed uint64) *Memory {
 	return &Memory{seed: seed}
 }
 
+// Reset empties m in place, making it equivalent to NewMemory(seed) while
+// keeping its table for reuse (table size never changes what Read returns).
+func (m *Memory) Reset(seed uint64) {
+	if m.n > 0 {
+		clear(m.keys)
+	}
+	*m = Memory{seed: seed, keys: m.keys, vals: m.vals}
+}
+
+// ResetOverlay is Reset into a copy-on-write view of base, equivalent to
+// NewOverlay(base).
+func (m *Memory) ResetOverlay(base *Memory) {
+	m.Reset(base.seed)
+	m.base = base
+}
+
 // Read returns the 8-byte word at addr (aligned down).
 func (m *Memory) Read(addr uint64) uint64 {
 	addr &^= 7

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"atr/internal/batch"
-	"atr/internal/checkpoint"
 	"atr/internal/config"
 	"atr/internal/experiments"
 	"atr/internal/obs"
@@ -597,27 +596,16 @@ func (s *Server) resumeFor(j *Job, g sweep.Grid) *sweep.Journal {
 	return resume
 }
 
-// runFunc is the serving layer's RunFunc: identical simulation semantics
-// to offline sweep.Sim, with the program image shared across jobs through
+// runFunc is the serving layer's RunFunc: sweep.RunUnit, the run function
+// offline sweeps execute, over program images shared across jobs through
 // the daemon's experiments.Runner.
 func (s *Server) runFunc(instr uint64) sweep.RunFunc {
 	return func(ctx context.Context, u sweep.Unit) (pipeline.Result, error) {
-		if err := u.Config.Validate(); err != nil {
-			return pipeline.Result{}, err
-		}
-		prog := s.runner.Program(u.Profile)
-		if u.Sample != "" {
-			plan, err := checkpoint.ParseMode(u.Sample)
-			if err != nil {
-				return pipeline.Result{}, err
-			}
-			res := checkpoint.Run(u.Config, prog, pipeline.SchedulerEvent, instr, plan).Result
+		res, err := sweep.RunUnit(u, s.runner.Program(u.Profile), pipeline.SchedulerEvent, instr)
+		if err == nil {
 			s.tm.runsExecuted.Inc()
-			return res, nil
 		}
-		res := pipeline.NewWithScheduler(u.Config, prog, pipeline.SchedulerEvent).Run(instr)
-		s.tm.runsExecuted.Inc()
-		return res, nil
+		return res, err
 	}
 }
 

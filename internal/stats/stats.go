@@ -139,6 +139,11 @@ func (c *Counters) Handle(name string) Handle {
 // Add adds delta to the counter identified by h (the hot path).
 func (c *Counters) Add(h Handle, delta uint64) { c.vals[h] += delta }
 
+// Reset zeroes every counter in place. Interned names and their handles
+// survive (a zero counter is invisible to Names, Snapshot, and String), so
+// handles resolved before the reset stay valid.
+func (c *Counters) Reset() { clear(c.vals) }
+
 // Value returns the value of the counter identified by h.
 func (c *Counters) Value(h Handle) uint64 { return c.vals[h] }
 
@@ -279,6 +284,14 @@ type LifetimeLedger struct {
 // NewLifetimeLedger returns an empty ledger.
 func NewLifetimeLedger() *LifetimeLedger {
 	return &LifetimeLedger{ConsumerHist: NewHistogram(16)}
+}
+
+// Reset empties the ledger in place, keeping its histogram storage.
+func (g *LifetimeLedger) Reset() {
+	h := g.ConsumerHist
+	clear(h.buckets)
+	*h = Histogram{buckets: h.buckets}
+	*g = LifetimeLedger{ConsumerHist: h}
 }
 
 // Record folds one finished allocation into the ledger. Allocations that

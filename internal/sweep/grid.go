@@ -271,18 +271,7 @@ func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, Batch
 		return e.prog
 	}
 	run := func(ctx context.Context, u Unit) (pipeline.Result, error) {
-		if err := u.Config.Validate(); err != nil {
-			return pipeline.Result{}, err
-		}
-		prog := getProg(u.Profile)
-		if u.Sample != "" {
-			plan, err := checkpoint.ParseMode(u.Sample)
-			if err != nil {
-				return pipeline.Result{}, err
-			}
-			return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
-		}
-		return pipeline.NewWithScheduler(u.Config, prog, kind).Run(instr), nil
+		return RunUnit(u, getProg(u.Profile), kind, instr)
 	}
 	runBatch := func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error) {
 		cfgs := make([]config.Config, len(us))
@@ -310,6 +299,25 @@ func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, Batch
 		return res, perf, nil
 	}
 	return run, runBatch
+}
+
+// RunUnit simulates one grid unit over prog, its profile's program, for
+// instr instructions: exact units run on a pooled machine, sampled units
+// through checkpoint.Run. It is the one run function every plane — offline
+// sweeps, the serving daemon, cluster workers — executes, so a unit's
+// result cannot depend on where it ran.
+func RunUnit(u Unit, prog *program.Program, kind pipeline.SchedulerKind, instr uint64) (pipeline.Result, error) {
+	if err := u.Config.Validate(); err != nil {
+		return pipeline.Result{}, err
+	}
+	if u.Sample == "" {
+		return pipeline.Run(u.Config, prog, kind, instr), nil
+	}
+	plan, err := checkpoint.ParseMode(u.Sample)
+	if err != nil {
+		return pipeline.Result{}, err
+	}
+	return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
 }
 
 // SimScheduler returns the standard solo RunFunc (see SimPairScheduler).
