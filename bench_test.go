@@ -7,7 +7,6 @@
 package atr
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -334,25 +333,6 @@ func BenchmarkFig10Throughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedSweep compares solo (K=1) and lockstep-batched (K=4)
-// execution of the Figure 10 grid on the event scheduler: identical units,
-// identical results (TestSweepBatchDeterminism proves byte-identity), the
-// only difference being whether profile-sharing units run as lanes over
-// one shared program image. The K=4/K=1 ratio is the locality win of
-// lockstep batching in isolation.
-func BenchmarkBatchedSweep(b *testing.B) {
-	for _, k := range []int{1, 4} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			var t experiments.Throughput
-			for i := 0; i < b.N; i++ {
-				t = experiments.SchedulerSweepBatch(pipeline.SchedulerEvent, benchInstr, k)
-			}
-			b.ReportMetric(t.CyclesPerSec(), "cycles/s")
-			b.ReportMetric(t.InstrPerSec(), "instr/s")
-		})
-	}
-}
-
 // BenchmarkSampledThroughput is the CI gate for sampled execution: the
 // exact and sampled sub-benchmarks simulate the same 2M-instruction gcc run
 // in one invocation, each reporting simulated cycles per wall second, and
@@ -425,9 +405,8 @@ var runUnitSink pipeline.Result
 
 // BenchmarkCounters measures the bookkeeping hot paths that run once or
 // more per simulated instruction: pre-resolved handle increments (the path
-// the engine and pipeline use), the string-keyed compatibility path, and
-// folding one register lifetime into the ledger. All three must be
-// allocation-free — CI fails the build if any reports a nonzero allocs/op.
+// the engine and pipeline use) and folding one register lifetime into the
+// ledger. Both must be allocation-free — CI fails the build if any reports a nonzero allocs/op.
 func BenchmarkCounters(b *testing.B) {
 	b.Run("handle", func(b *testing.B) {
 		c := stats.NewCounters()
@@ -439,15 +418,6 @@ func BenchmarkCounters(b *testing.B) {
 		}
 		if c.Value(h) != uint64(b.N) {
 			b.Fatalf("counter = %d, want %d", c.Value(h), b.N)
-		}
-	})
-	b.Run("string", func(b *testing.B) {
-		c := stats.NewCounters()
-		c.Inc("release.atr", 0) // intern outside the timed region
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Inc("release.atr", 1)
 		}
 	})
 	b.Run("ledger", func(b *testing.B) {

@@ -172,12 +172,6 @@ func render(w *os.File, base string, cur, prev *snapshot, history []float64) {
 		hitRate, hits, hits+misses,
 		cur.value("atr_result_cache_size"), cur.value("atr_result_cache_capacity"))
 
-	if groups := cur.value("atr_batch_groups_total"); groups > 0 {
-		batched := cur.value("atr_runs_batched_total")
-		fmt.Fprintf(w, "lanes    batched %.0f runs in %.0f groups  |  occupancy %.1f lanes/group\n",
-			batched, groups, batched/groups)
-	}
-
 	fmt.Fprintf(w, "http     requests %.0f%s  |  limiter clients %.0f  rate-limited %.0f\n",
 		cur.httpReqs, rate(cur, prev, cur.httpReqs, prevHTTP(prev)),
 		cur.value("atr_rate_clients"), cur.value("atr_rate_limited_total"))

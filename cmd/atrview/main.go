@@ -266,13 +266,6 @@ func summarizePerf(path string, raw []byte) {
 		fmt.Printf("sampling       %d sampled + %d exact runs (modes: %s)\n",
 			sm.SampledRuns, sm.ExactRuns, strings.Join(sm.Modes, ", "))
 	}
-	if info.Batches > 0 {
-		// Lane occupancy: batched runs per group versus the configured cap.
-		fmt.Printf("batching       %d groups covering %d runs, %.1f/%d lanes occupied, %.2fs setup, %.2fs exec\n",
-			info.Batches, info.BatchedRuns,
-			float64(info.BatchedRuns)/float64(info.Batches), info.Batch,
-			info.SetupSeconds, info.ExecSeconds)
-	}
 	for _, s := range info.Shards {
 		if s.Runs == 0 {
 			continue
@@ -401,10 +394,6 @@ func summarizeManifest(path string) {
 		100*m.Ledger.InUse, 100*m.Ledger.Unused, 100*m.Ledger.VerifiedUnused)
 	fmt.Printf("atomic ratio   %.1f%%\n", 100*m.Ledger.Atomic)
 	fmt.Printf("perf           %.2fs wall, %.0f instr/s\n", m.Perf.WallSeconds, m.Perf.InstrPerSec)
-	if m.Perf.Lanes > 1 {
-		fmt.Printf("lanes          %d lockstep, %.2fs setup, %.2fs exec\n",
-			m.Perf.Lanes, m.Perf.SetupSeconds, m.Perf.ExecSeconds)
-	}
 	if len(m.Samples) > 0 {
 		fmt.Printf("samples        %d intervals\n", len(m.Samples))
 	}

@@ -267,10 +267,10 @@ func Run(cfg config.Config, prog *program.Program, kind pipeline.SchedulerKind, 
 		}
 		w.prime(cpu)
 		if warm > 0 {
-			cpu.RunFor(warm, ^uint64(0))
+			cpu.RunFor(warm)
 		}
 		s0 := cpu.WindowStats()
-		cpu.RunFor(warm+win, ^uint64(0))
+		cpu.RunFor(warm + win)
 		s1 := cpu.WindowStats()
 		if s1.Committed > s0.Committed {
 			if first {

@@ -223,7 +223,7 @@ func TestRestoreAfterRunPanics(t *testing.T) {
 	cfg := testConfig()
 	prog := workload.Micro(23).Generate()
 	cpu := pipeline.NewWithScheduler(cfg, prog, pipeline.SchedulerEvent)
-	cpu.RunFor(10, ^uint64(0))
+	cpu.RunFor(10)
 	w := newWarmer(prog, cfg)
 	cp := Capture(w.em, w.pred, w.mem)
 	defer func() {

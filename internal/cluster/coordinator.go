@@ -289,11 +289,7 @@ func (c *Coordinator) saveQuotasLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := c.quotaFile() + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.quotaFile())
+	return server.WriteFileAtomic(c.quotaFile(), append(b, '\n'))
 }
 
 // recover scans the job store. Jobs with a manifest are done; a terminal
@@ -629,12 +625,7 @@ func (c *Coordinator) maybeFinishLocked(j *cjob) {
 		c.failLocked(j, "encode: "+err.Error())
 		return
 	}
-	tmp := c.jobFile(j.id, "manifest.json.tmp")
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		c.failLocked(j, err.Error())
-		return
-	}
-	if err := os.Rename(tmp, c.jobFile(j.id, "manifest.json")); err != nil {
+	if err := server.WriteFileAtomic(c.jobFile(j.id, "manifest.json"), buf.Bytes()); err != nil {
 		c.failLocked(j, err.Error())
 		return
 	}
@@ -648,7 +639,7 @@ func (c *Coordinator) failLocked(j *cjob, msg string) {
 	c.finishLocked(j, server.StateFailed, msg)
 	c.cm.jobsFailed.Inc()
 	b, _ := json.Marshal(persistedStatus{State: server.StateFailed, Error: msg})
-	_ = os.WriteFile(c.jobFile(j.id, "status.json"), append(b, '\n'), 0o644)
+	_ = server.WriteFileAtomic(c.jobFile(j.id, "status.json"), append(b, '\n'))
 	c.logger.Error("job failed", "job", j.id, "err", msg)
 }
 

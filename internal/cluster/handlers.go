@@ -166,7 +166,7 @@ func (c *Coordinator) persistSubmitLocked(j *cjob) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(c.jobFile(j.id, "spec.json"), append(b, '\n'), 0o644); err != nil {
+	if err := server.WriteFileAtomic(c.jobFile(j.id, "spec.json"), append(b, '\n')); err != nil {
 		return err
 	}
 	return c.openJournal(j)
@@ -224,7 +224,7 @@ func (c *Coordinator) cancel(j *cjob) {
 	c.finishLocked(j, server.StateCancelled, "cancelled")
 	c.cm.jobsCancelled.Inc()
 	b, _ := json.Marshal(persistedStatus{State: server.StateCancelled, Error: "cancelled"})
-	_ = os.WriteFile(c.jobFile(j.id, "status.json"), append(b, '\n'), 0o644)
+	_ = server.WriteFileAtomic(c.jobFile(j.id, "status.json"), append(b, '\n'))
 	c.logger.Info("job cancelled", "job", j.id)
 }
 

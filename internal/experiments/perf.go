@@ -39,21 +39,12 @@ func (t Throughput) InstrPerSec() float64 {
 // given scheduler implementation, and returns the aggregate simulator
 // throughput. Serial execution keeps the comparison between scheduler
 // implementations free of parallel-scheduling noise; instr is the per-run
-// instruction budget. Lockstep batching is left at its default (auto), so
-// this measures the engine's production configuration: units sharing a
-// profile run as lanes over one program image.
+// instruction budget.
 func SchedulerSweep(kind pipeline.SchedulerKind, instr uint64) Throughput {
-	return SchedulerSweepBatch(kind, instr, 0)
-}
-
-// SchedulerSweepBatch is SchedulerSweep with an explicit lockstep lane cap
-// (0 auto, 1 off) — the K axis of BenchmarkBatchedSweep.
-func SchedulerSweepBatch(kind pipeline.SchedulerKind, instr uint64, batchK int) Throughput {
 	g := sweep.Fig10Grid(instr)
-	run, runBatch := sweep.SimPairScheduler(kind, g.Instr)
-	eng := sweep.New(sweep.Options{Workers: 1, Batch: batchK, BatchRun: runBatch})
+	eng := sweep.New(sweep.Options{Workers: 1})
 	start := time.Now()
-	m, err := eng.Execute(context.Background(), g, run)
+	m, err := eng.Execute(context.Background(), g, sweep.SimScheduler(kind, g.Instr))
 	if err != nil {
 		return Throughput{}
 	}

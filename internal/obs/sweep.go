@@ -47,20 +47,7 @@ type SweepInfo struct {
 	WallSeconds    float64     `json:"wall_seconds"`
 	CyclesPerSec   float64     `json:"cycles_per_sec"` // executed (non-resumed) runs only
 	Shards         []ShardStat `json:"shards,omitempty"`
-
-	// Lockstep batching telemetry (PR 7). Batch is the configured lane
-	// cap (1 = batching off); Batches counts lockstep groups executed;
-	// BatchedRuns counts units that ran inside multi-lane groups. The
-	// phase seconds attribute batched wall clock to lane construction
-	// (Setup), lockstep simulation (Exec), and — for the whole sweep —
-	// manifest assembly (Merge). Like everything else here this is
-	// scheduling telemetry: batching never changes the result manifest.
-	Batch        int     `json:"batch,omitempty"`
-	Batches      int     `json:"batches,omitempty"`
-	BatchedRuns  int     `json:"batched_runs,omitempty"`
-	SetupSeconds float64 `json:"setup_seconds,omitempty"`
-	ExecSeconds  float64 `json:"exec_seconds,omitempty"`
-	MergeSeconds float64 `json:"merge_seconds,omitempty"`
+	MergeSeconds   float64     `json:"merge_seconds,omitempty"` // manifest assembly after the last run
 
 	// Provenance: where and when this sweep executed. Like the rest of
 	// SweepInfo it varies run to run, which is exactly why it lives here

@@ -84,9 +84,9 @@ type CPU struct {
 	committed uint64
 	cycle     uint64
 
-	// Incremental-run state (RunFor/Finish): deadlock-watchdog progress
-	// tracking and whether the program halted, carried across budget
-	// slices so a sliced run behaves exactly like an unsliced one.
+	// Incremental-run state (RunFor): deadlock-watchdog progress tracking
+	// and whether the program halted, carried across RunFor calls so a
+	// run split into a warmup and a window behaves exactly like one call.
 	runLastCommit uint64
 	runStuck      uint64
 	runHalted     bool
@@ -354,28 +354,21 @@ func (c *CPU) Run(maxInstr uint64) Result {
 	c.runLastCommit = c.committed
 	c.runStuck = 0
 	c.runHalted = false
-	for !c.RunFor(maxInstr, ^uint64(0)) {
-	}
-	return c.Finish()
+	c.RunFor(maxInstr)
+	return c.finish()
 }
 
-// RunFor advances the simulation by at most budget cycles, stopping early
-// once maxInstr instructions have committed or the program halts. It
-// returns true when the run is finished (target reached or halted) and
-// false when only the cycle budget expired — call again to continue. The
-// cycle-for-cycle state sequence is identical no matter how the budget
-// slices the run, which is what lets the batch executor interleave lanes
-// without perturbing a single bit of any lane's result.
-func (c *CPU) RunFor(maxInstr, budget uint64) bool {
+// RunFor advances the simulation until maxInstr instructions have
+// committed in total or the program halts. Unlike Run it neither resets
+// the watchdog nor finalizes the run, so checkpoint.Run can simulate a
+// warmup and then a detail window on one machine. It panics on deadlock
+// exactly as Run does.
+func (c *CPU) RunFor(maxInstr uint64) {
 	for c.committed < maxInstr {
 		if c.robEmptyAndHalted() {
 			c.runHalted = true
-			return true
+			return
 		}
-		if budget == 0 {
-			return false
-		}
-		budget--
 		c.step()
 		if c.committed == c.runLastCommit {
 			c.runStuck++
@@ -390,13 +383,11 @@ func (c *CPU) RunFor(maxInstr, budget uint64) bool {
 			c.runLastCommit = c.committed
 		}
 	}
-	return true
 }
 
-// Finish finalizes the sampler and the release engine and returns the run
-// summary. Call exactly once after RunFor reports the run finished; Run
-// does both for the common single-shot case.
-func (c *CPU) Finish() Result {
+// finish finalizes the sampler and the release engine and returns the run
+// summary.
+func (c *CPU) finish() Result {
 	if c.obs != nil && c.obs.Sampler != nil {
 		c.obs.Sampler.Finalize(c.snapshot())
 	}

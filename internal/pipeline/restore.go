@@ -100,7 +100,3 @@ func (c *CPU) WindowStats() WindowStats {
 	w.IndLookups, w.IndWrong = c.Pred.IndCounts()
 	return w
 }
-
-// Halted reports whether the last RunFor slice ended because the program
-// halted.
-func (c *CPU) Halted() bool { return c.runHalted }

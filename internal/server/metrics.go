@@ -39,8 +39,6 @@ type serverMetrics struct {
 
 	runsExecuted  *telemetry.Counter
 	runsFromCache *telemetry.Counter
-	runsBatched   *telemetry.Counter
-	batchGroups   *telemetry.Counter
 	cacheHits     *telemetry.Counter
 	cacheMisses   *telemetry.Counter
 
@@ -69,8 +67,6 @@ func newServerMetrics() *serverMetrics {
 		rateLimited:   reg.Counter("atr_rate_limited_total", "Submissions refused with 429 by the token bucket."),
 		runsExecuted:  reg.Counter("atr_runs_executed_total", "Simulations actually executed (per attempt)."),
 		runsFromCache: reg.Counter("atr_runs_from_cache_total", "Grid units satisfied by the content-addressed result cache."),
-		runsBatched:   reg.Counter("atr_runs_batched_total", "Simulations executed as lanes of a lockstep batch group."),
-		batchGroups:   reg.Counter("atr_batch_groups_total", "Lockstep batch groups executed (runs_batched/batch_groups = lane occupancy)."),
 		cacheHits:     reg.Counter("atr_result_cache_hits_total", "Result cache lookups that hit."),
 		cacheMisses:   reg.Counter("atr_result_cache_misses_total", "Result cache lookups that missed."),
 		queueWait:     reg.Histogram("atr_queue_wait_seconds", "Time from job admission to execution start.", nil),

@@ -27,8 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/batch"
-	"atr/internal/config"
 	"atr/internal/experiments"
 	"atr/internal/obs"
 	"atr/internal/pipeline"
@@ -310,7 +308,7 @@ func (s *Server) jobFile(id, name string) string {
 // writeStatus persists a terminal non-done state marker.
 func (s *Server) writeStatus(j *Job, state, errMsg string) {
 	b, _ := json.Marshal(statusFile{State: state, Error: errMsg})
-	_ = os.WriteFile(s.jobFile(j.ID, "status.json"), append(b, '\n'), 0o644)
+	_ = WriteFileAtomic(s.jobFile(j.ID, "status.json"), append(b, '\n'))
 }
 
 // noteFinish is the Job.onFinish hook: it moves the terminal-state and
@@ -371,7 +369,7 @@ func (s *Server) submit(spec JobSpec) (*Job, error, int) {
 		return nil, err, http.StatusInternalServerError
 	}
 	b, _ := json.MarshalIndent(persistedJob{ID: id, SubmittedAt: now, Spec: spec}, "", "  ")
-	if err := os.WriteFile(s.jobFile(id, "spec.json"), append(b, '\n'), 0o644); err != nil {
+	if err := WriteFileAtomic(s.jobFile(id, "spec.json"), append(b, '\n')); err != nil {
 		j.finish(StateFailed, err.Error())
 		return nil, err, http.StatusInternalServerError
 	}
@@ -493,7 +491,6 @@ func (s *Server) runJob(j *Job) {
 		Resume:      resume,
 		JobID:       j.ID,
 		InjectPanic: j.Spec.InjectPanic,
-		BatchRun:    s.batchRunFunc(g.Instr),
 		OnProgress:  j.publish,
 		OnRun: func(u sweep.Unit, worker int, start time.Time, dur time.Duration, errMsg string) {
 			s.tm.runDuration.Observe(dur)
@@ -535,14 +532,7 @@ func (s *Server) runJob(j *Job) {
 		s.failJob(j, err.Error())
 		return
 	}
-	tmp := s.jobFile(j.ID, "manifest.json.tmp")
-	if err := os.WriteFile(tmp, []byte(buf.String()), 0o644); err == nil {
-		err = os.Rename(tmp, s.jobFile(j.ID, "manifest.json"))
-		if err != nil {
-			s.failJob(j, err.Error())
-			return
-		}
-	} else {
+	if err := WriteFileAtomic(s.jobFile(j.ID, "manifest.json"), []byte(buf.String())); err != nil {
 		s.failJob(j, err.Error())
 		return
 	}
@@ -606,38 +596,6 @@ func (s *Server) runFunc(instr uint64) sweep.RunFunc {
 			s.tm.runsExecuted.Inc()
 		}
 		return res, err
-	}
-}
-
-// batchRunFunc is runFunc's lockstep counterpart: the engine hands it a
-// profile-homogeneous group of pending units (that invariant is the
-// engine's grouping rule), which execute as batch lanes over the
-// daemon's shared program image. Lane results are bit-identical to solo
-// runs, so serving batched cannot perturb manifest parity.
-func (s *Server) batchRunFunc(instr uint64) sweep.BatchRunFunc {
-	return func(ctx context.Context, us []sweep.Unit) ([]pipeline.Result, batch.Perf, error) {
-		cfgs := make([]config.Config, len(us))
-		for i, u := range us {
-			if u.Sample != "" {
-				// The engine never groups sampled units; the error routes a
-				// scheduling bug to the correct per-unit fallback path.
-				return nil, batch.Perf{}, fmt.Errorf("server: sampled unit %s cannot run in a lockstep batch", u.Key)
-			}
-			if err := u.Config.Validate(); err != nil {
-				return nil, batch.Perf{}, err
-			}
-			cfgs[i] = u.Config
-		}
-		prog := s.runner.Program(us[0].Profile)
-		lanes, perf := batch.Run(prog, cfgs, instr, batch.Options{})
-		res := make([]pipeline.Result, len(lanes))
-		for i, l := range lanes {
-			res[i] = l.Result
-		}
-		s.tm.runsExecuted.Add(uint64(len(us)))
-		s.tm.runsBatched.Add(uint64(len(us)))
-		s.tm.batchGroups.Inc()
-		return res, perf, nil
 	}
 }
 

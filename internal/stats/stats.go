@@ -111,9 +111,9 @@ func (h *Histogram) Merge(other *Histogram) {
 type Handle int32
 
 // Counters is a named counter set with deterministic iteration order.
-// Names are interned into Handle indices backed by a flat value array; the
-// string-keyed Inc/Get survive as thin compatibility wrappers over the same
-// storage, so both views always agree.
+// Names are interned into Handle indices backed by a flat value array;
+// Get reads a counter by name from the same storage, so both views always
+// agree.
 type Counters struct {
 	vals  []uint64
 	names []string          // handle -> name
@@ -146,9 +146,6 @@ func (c *Counters) Reset() { clear(c.vals) }
 
 // Value returns the value of the counter identified by h.
 func (c *Counters) Value(h Handle) uint64 { return c.vals[h] }
-
-// Inc adds delta to the named counter (compatibility wrapper).
-func (c *Counters) Inc(name string, delta uint64) { c.vals[c.Handle(name)] += delta }
 
 // Get returns the value of the named counter (0 if never interned).
 func (c *Counters) Get(name string) uint64 {

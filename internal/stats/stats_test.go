@@ -59,9 +59,9 @@ func TestHistogramPercentile(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	c := NewCounters()
-	c.Inc("commits", 10)
-	c.Inc("commits", 5)
-	c.Inc("flushes", 1)
+	c.Add(c.Handle("commits"), 10)
+	c.Add(c.Handle("commits"), 5)
+	c.Add(c.Handle("flushes"), 1)
 	if c.Get("commits") != 15 {
 		t.Errorf("commits = %d", c.Get("commits"))
 	}
@@ -77,8 +77,8 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestCountersHandleStringInterop pins the compat contract: handle-based
-// and string-based access observe the same underlying counter.
+// TestCountersHandleStringInterop pins the naming contract: a handle and
+// its name (re-interned or read back with Get) reach the same counter.
 func TestCountersHandleStringInterop(t *testing.T) {
 	c := NewCounters()
 	h := c.Handle("release.atr")
@@ -86,7 +86,7 @@ func TestCountersHandleStringInterop(t *testing.T) {
 		t.Error("re-interning the same name returned a different handle")
 	}
 	c.Add(h, 7)
-	c.Inc("release.atr", 3)
+	c.Add(c.Handle("release.atr"), 3)
 	if c.Get("release.atr") != 10 {
 		t.Errorf("Get = %d, want 10", c.Get("release.atr"))
 	}
@@ -109,9 +109,8 @@ func TestCountersHandleStringInterop(t *testing.T) {
 
 // TestCountersMatchesMapReference drives Counters and a plain
 // map[string]uint64 (the original representation) with the same random
-// mixed stream of handle adds and string incs, then asserts every
-// observable — Get, sorted Names, Snapshot, the String rendering — matches
-// the map.
+// stream of adds, then asserts every observable — Get, sorted Names,
+// Snapshot, the String rendering — matches the map.
 func TestCountersMatchesMapReference(t *testing.T) {
 	names := []string{"a", "bb", "release.atr", "release.er", "rename.alloc",
 		"lsq.forwards", "x.y.z", "q"}
@@ -121,11 +120,7 @@ func TestCountersMatchesMapReference(t *testing.T) {
 		for _, op := range ops {
 			name := names[int(op)%len(names)]
 			delta := uint64(op >> 8)
-			if op&0x80 != 0 {
-				c.Add(c.Handle(name), delta)
-			} else {
-				c.Inc(name, delta)
-			}
+			c.Add(c.Handle(name), delta)
 			ref[name] += delta
 		}
 		for n, v := range ref {
@@ -165,19 +160,18 @@ func TestCountersMatchesMapReference(t *testing.T) {
 // and access pattern must not leak into Names(), Snapshot(), or String().
 func TestCountersSnapshotDeterministic(t *testing.T) {
 	names := []string{"zeta", "alpha", "mid.point", "release.atr", "beta"}
-	build := func(order []int, viaHandle bool) *Counters {
+	build := func(order, intern []int) *Counters {
 		c := NewCounters()
+		for _, i := range intern {
+			c.Handle(names[i])
+		}
 		for _, i := range order {
-			if viaHandle {
-				c.Add(c.Handle(names[i]), uint64(10+i))
-			} else {
-				c.Inc(names[i], uint64(10+i))
-			}
+			c.Add(c.Handle(names[i]), uint64(10+i))
 		}
 		return c
 	}
-	a := build([]int{0, 1, 2, 3, 4}, true)
-	b := build([]int{4, 3, 2, 1, 0}, false)
+	a := build([]int{0, 1, 2, 3, 4}, nil)
+	b := build([]int{4, 3, 2, 1, 0}, []int{2, 0, 4, 1, 3})
 	if a.String() != b.String() {
 		t.Errorf("String depends on insertion order:\n%s\nvs\n%s", a.String(), b.String())
 	}

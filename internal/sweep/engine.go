@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"atr/internal/batch"
 	"atr/internal/obs"
 	"atr/internal/pipeline"
 )
@@ -53,25 +52,10 @@ type Options struct {
 	// Called from worker goroutines, so it must be safe for concurrent use.
 	OnRun func(u Unit, worker int, start time.Time, dur time.Duration, errMsg string)
 
-	// Batch selects lockstep lane batching of consecutive pending units
-	// sharing a profile: 0 selects batch.DefaultLanes, 1 disables
-	// batching, K > 1 caps groups at K lanes. Batching is a pure
-	// scheduling decision — lanes are bit-identical to solo runs — so it
-	// can never change a byte of the manifest or the journal records.
-	Batch int
-
-	// BatchRun, when non-nil, is the lockstep counterpart of the RunFunc
-	// passed to Execute (see BatchRunFunc). When Execute's fn is nil the
-	// engine derives both halves from the grid itself. A custom RunFunc
-	// with no BatchRun counterpart runs unbatched.
-	BatchRun BatchRunFunc
-
 	// InjectPanic, when positive, poisons the grid's k-th run (1-based,
 	// grid order): every attempt of that run panics inside the worker.
 	// The panic is recovered, retried, and recorded as a failed run — the
 	// fault-injection hook proving one poisoned run cannot kill a sweep.
-	// A poisoned unit is never batched, so injection always lands in the
-	// retrying per-unit path.
 	InjectPanic int
 
 	// JobID, when non-empty, names the server job this sweep executes on
@@ -117,19 +101,11 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	bf := e.opts.BatchRun
 	if fn == nil {
-		fn, bf = SimPairScheduler(pipeline.SchedulerEvent, g.Instr)
-		if e.opts.BatchRun != nil {
-			bf = e.opts.BatchRun
-		}
+		fn = Sim(g.Instr)
 	}
-	lanes := e.opts.Batch
-	if lanes == 0 {
-		lanes = batch.DefaultLanes
-	}
-	if bf == nil || lanes < 1 {
-		lanes = 1
+	if k := e.opts.InjectPanic; k > 0 {
+		fn = InjectPanicRun(fn, k)
 	}
 	units := g.Units()
 	if len(units) == 0 {
@@ -156,7 +132,7 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	for i := range e.shards {
 		e.shards[i].Worker = i
 	}
-	e.info = obs.SweepInfo{Workers: e.pool.Workers(), Total: len(units), Batch: lanes}
+	e.info = obs.SweepInfo{Workers: e.pool.Workers(), Total: len(units)}
 	if sampled := countSampled(units); sampled > 0 {
 		e.info.Sample = &obs.SampleSweepInfo{
 			Modes:       sampleModes(units),
@@ -197,63 +173,8 @@ func (e *Engine) Execute(ctx context.Context, g Grid, fn RunFunc) (*Manifest, er
 	e.info.StartedAt = start.UTC().Format(time.RFC3339Nano)
 	e.mu.Unlock()
 
-	// Sampled units can never join a lockstep group. The sample axis is
-	// innermost in grid order, so left in place the sampled units would
-	// shred every same-profile run of exact units into singleton groups;
-	// a stable partition (exact first, sampled after) restores the
-	// adjacency batching needs without affecting the manifest, which is
-	// merged in Seq order regardless of dispatch order.
-	if lanes > 1 {
-		exact := make([]int, 0, len(pending))
-		var sampledUnits []int
-		for _, i := range pending {
-			if units[i].Sample == "" {
-				exact = append(exact, i)
-			} else {
-				sampledUnits = append(sampledUnits, i)
-			}
-		}
-		pending = append(exact, sampledUnits...)
-	}
-
-	// Group consecutive pending units sharing a profile into lockstep
-	// batches. Grouping is greedy over pending order, which is grid
-	// order, so the profile-major grids — 2 register-file sizes × 4
-	// schemes per profile — split into whole lane groups sharing one
-	// program image. A poisoned unit is never grouped: injection must
-	// land in the retrying per-unit path.
-	var groups [][]int
-	for start := 0; start < len(pending); {
-		end := start + 1
-		if lanes > 1 && e.opts.InjectPanic != units[pending[start]].Seq+1 &&
-			units[pending[start]].Sample == "" {
-			name := units[pending[start]].Profile.Name
-			for end-start < lanes && end < len(pending) &&
-				units[pending[end]].Profile.Name == name &&
-				units[pending[end]].Sample == "" &&
-				e.opts.InjectPanic != units[pending[end]].Seq+1 {
-				end++
-			}
-		}
-		groups = append(groups, pending[start:end])
-		start = end
-	}
-
-	poolErr := e.pool.ForEach(ctx, len(groups), func(worker, gi int) {
-		grp := groups[gi]
-		if len(grp) == 1 {
-			e.runSolo(ctx, units[grp[0]], fn, worker)
-			return
-		}
-		us := make([]Unit, len(grp))
-		for i, j := range grp {
-			us[i] = units[j]
-		}
-		if !e.runGroup(ctx, us, bf, worker) {
-			for _, u := range us {
-				e.runSolo(ctx, u, fn, worker)
-			}
-		}
+	poolErr := e.pool.ForEach(ctx, len(pending), func(worker, i int) {
+		e.runSolo(ctx, units[pending[i]], fn, worker)
 	})
 	end := time.Now()
 	wall := end.Sub(start).Seconds()
@@ -321,60 +242,21 @@ func FinalizeManifest(g Grid, runs []Record) (*Manifest, error) {
 	return m, nil
 }
 
-// runSolo executes one unit through the retrying per-unit path and
-// accounts it to the worker's shard.
+// runSolo executes one unit with panic isolation and bounded
+// retry-with-backoff, and accounts it to the worker's shard.
 func (e *Engine) runSolo(ctx context.Context, u Unit, fn RunFunc, worker int) {
 	t0 := time.Now()
-	rec := e.runOne(ctx, u, fn)
+	rec := ExecuteUnit(ctx, u, fn, e.opts.Retries, e.opts.Backoff, func() {
+		e.mu.Lock()
+		e.info.Retried++
+		e.mu.Unlock()
+	})
 	busyDur := time.Since(t0)
 	if cb := e.opts.OnRun; cb != nil {
 		cb(u, worker, t0, busyDur, rec.Err)
 	}
 	e.accountShard(worker, busyDur.Seconds(), rec)
 	e.finishRun(u, rec, worker, false)
-}
-
-// runGroup executes one profile-homogeneous group of units in lockstep.
-// It reports false — recording nothing — when the batch call errors,
-// panics, or returns the wrong shape; the caller then re-runs every unit
-// through the per-unit path with its full retry budget, so batching only
-// ever adds a fast path and never changes failure semantics.
-func (e *Engine) runGroup(ctx context.Context, us []Unit, bf BatchRunFunc, worker int) bool {
-	t0 := time.Now()
-	res, perf, err := func() (res []pipeline.Result, perf batch.Perf, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		return bf(ctx, us)
-	}()
-	if err != nil || len(res) != len(us) {
-		return false
-	}
-	busyDur := time.Since(t0)
-
-	e.mu.Lock()
-	e.info.Batches++
-	e.info.BatchedRuns += len(us)
-	e.info.SetupSeconds += perf.SetupSeconds
-	e.info.ExecSeconds += perf.ExecSeconds
-	e.mu.Unlock()
-
-	share := busyDur / time.Duration(len(us))
-	for i, u := range us {
-		rec := Record{
-			Key: u.Key, Seq: u.Seq, Bench: u.Profile.Name,
-			Scheme: u.Config.Scheme.String(), PhysRegs: u.Config.PhysRegs,
-			Sample: u.Sample, Attempts: 1, Result: res[i],
-		}
-		if cb := e.opts.OnRun; cb != nil {
-			cb(u, worker, t0.Add(time.Duration(i)*share), share, "")
-		}
-		e.accountShard(worker, share.Seconds(), rec)
-		e.finishRun(u, rec, worker, false)
-	}
-	return true
 }
 
 // accountShard adds one finished run to a worker's shard statistics.
@@ -393,25 +275,6 @@ func (e *Engine) accountShard(worker int, busy float64, rec Record) {
 		s.CyclesPerSec = float64(s.Cycles) / s.BusySeconds
 	}
 	e.mu.Unlock()
-}
-
-// runOne executes one unit with panic isolation and bounded
-// retry-with-backoff, returning its deterministic record.
-func (e *Engine) runOne(ctx context.Context, u Unit, fn RunFunc) Record {
-	return ExecuteUnit(ctx, u, e.injected(fn), e.opts.Retries, e.opts.Backoff, func() {
-		e.mu.Lock()
-		e.info.Retried++
-		e.mu.Unlock()
-	})
-}
-
-// injected wraps fn with the engine's fault-injection hook: when the
-// unit is the poisoned one, every attempt panics before fn runs.
-func (e *Engine) injected(fn RunFunc) RunFunc {
-	if e.opts.InjectPanic <= 0 {
-		return fn
-	}
-	return InjectPanicRun(fn, e.opts.InjectPanic)
 }
 
 // InjectPanicRun wraps fn so that every attempt of the k-th grid run

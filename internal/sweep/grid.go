@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 
-	"atr/internal/batch"
 	"atr/internal/checkpoint"
 	"atr/internal/config"
 	"atr/internal/pipeline"
@@ -235,28 +234,16 @@ func GridByName(name string, instr uint64) (Grid, error) {
 // for the engine's manifest-determinism guarantee to hold.
 type RunFunc func(ctx context.Context, u Unit) (pipeline.Result, error)
 
-// BatchRunFunc executes several units sharing one profile in lockstep and
-// returns their results in unit order, plus the batch's phase timing. It
-// must be the exact lockstep counterpart of a RunFunc: results[i] must be
-// byte-identical to what the RunFunc would return for us[i] alone, so the
-// engine can batch or not batch without changing a byte of the manifest.
-// An error (or panic) fails the whole group; the engine then falls back to
-// per-unit execution with the RunFunc, preserving retry and
-// fault-isolation semantics.
-type BatchRunFunc func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error)
-
 type progOnce struct {
 	once sync.Once
 	prog *program.Program
 }
 
-// SimPairScheduler returns the standard run functions — solo and lockstep
-// batched — sharing one program cache: simulate each unit's profile under
-// its config for instr instructions with the given scheduler
-// implementation, generating each profile's program at most once per sweep
-// (programs are immutable code images, shared freely across workers and
-// lanes).
-func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, BatchRunFunc) {
+// SimScheduler returns the standard RunFunc: RunUnit with the given
+// scheduler implementation for instr instructions, generating each
+// profile's program at most once per sweep (programs are immutable code
+// images, shared freely across workers).
+func SimScheduler(kind pipeline.SchedulerKind, instr uint64) RunFunc {
 	var mu sync.Mutex
 	progs := make(map[string]*progOnce)
 	getProg := func(p workload.Profile) *program.Program {
@@ -270,35 +257,9 @@ func SimPairScheduler(kind pipeline.SchedulerKind, instr uint64) (RunFunc, Batch
 		e.once.Do(func() { e.prog = p.Generate() })
 		return e.prog
 	}
-	run := func(ctx context.Context, u Unit) (pipeline.Result, error) {
+	return func(ctx context.Context, u Unit) (pipeline.Result, error) {
 		return RunUnit(u, getProg(u.Profile), kind, instr)
 	}
-	runBatch := func(ctx context.Context, us []Unit) ([]pipeline.Result, batch.Perf, error) {
-		cfgs := make([]config.Config, len(us))
-		for i, u := range us {
-			if u.Sample != "" {
-				// The engine never groups sampled units; reaching here is a
-				// scheduling bug, and falling back to per-unit execution
-				// (which this error triggers) keeps the sweep correct.
-				return nil, batch.Perf{}, fmt.Errorf("sweep: sampled unit %s cannot run in a lockstep batch", u.Key)
-			}
-			if u.Profile.Name != us[0].Profile.Name {
-				return nil, batch.Perf{}, fmt.Errorf("sweep: batch mixes profiles %q and %q", us[0].Profile.Name, u.Profile.Name)
-			}
-			if err := u.Config.Validate(); err != nil {
-				return nil, batch.Perf{}, err
-			}
-			cfgs[i] = u.Config
-		}
-		prog := getProg(us[0].Profile)
-		lanes, perf := batch.Run(prog, cfgs, instr, batch.Options{Kind: kind})
-		res := make([]pipeline.Result, len(lanes))
-		for i := range lanes {
-			res[i] = lanes[i].Result
-		}
-		return res, perf, nil
-	}
-	return run, runBatch
 }
 
 // RunUnit simulates one grid unit over prog, its profile's program, for
@@ -318,12 +279,6 @@ func RunUnit(u Unit, prog *program.Program, kind pipeline.SchedulerKind, instr u
 		return pipeline.Result{}, err
 	}
 	return checkpoint.Run(u.Config, prog, kind, instr, plan).Result, nil
-}
-
-// SimScheduler returns the standard solo RunFunc (see SimPairScheduler).
-func SimScheduler(kind pipeline.SchedulerKind, instr uint64) RunFunc {
-	run, _ := SimPairScheduler(kind, instr)
-	return run
 }
 
 // Sim is SimScheduler on the default event-driven scheduler.

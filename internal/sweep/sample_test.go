@@ -90,38 +90,6 @@ func TestSampleAxisSweep(t *testing.T) {
 	}
 }
 
-// TestSampleAxisNeverBatched proves sampled units are excluded from
-// lockstep batching at scheduling time: with batching wide open, every
-// batched run is an exact unit, and the sweep still completes with the
-// deterministic manifest.
-func TestSampleAxisNeverBatched(t *testing.T) {
-	g := sampleTestGrid()
-	exactRuns := len(testGrid().Units())
-
-	ref := New(Options{Workers: 1, Batch: 1})
-	wantM, err := ref.Execute(context.Background(), g, nil)
-	if err != nil {
-		t.Fatalf("unbatched sweep: %v", err)
-	}
-
-	eng := New(Options{Workers: 4, Batch: 64})
-	m, err := eng.Execute(context.Background(), g, nil)
-	if err != nil {
-		t.Fatalf("batched sweep: %v", err)
-	}
-	info := eng.Info()
-	if info.BatchedRuns == 0 {
-		t.Fatalf("expected the exact half of the grid to batch (batch telemetry: %+v)", info)
-	}
-	if info.BatchedRuns > exactRuns {
-		t.Errorf("%d batched runs exceeds the %d exact units — a sampled unit was batched",
-			info.BatchedRuns, exactRuns)
-	}
-	if !bytes.Equal(encode(t, m), encode(t, wantM)) {
-		t.Errorf("batched manifest differs from unbatched")
-	}
-}
-
 // TestSampleAxisExactUnchanged pins the compatibility contract: a grid
 // with no sampled-execution axis produces a manifest with no sample
 // fields at all — byte-compatible with manifests written before the axis
